@@ -32,7 +32,6 @@ optional for shape analyses and merely prudent for body analyses.
 
 from __future__ import annotations
 
-import weakref
 from typing import Optional
 
 from repro.ir.function import Function
@@ -288,15 +287,15 @@ class AnalysisManager:
         )
 
 
-#: One manager per live Function object; entries die with the function.
-_MANAGERS: "weakref.WeakKeyDictionary[Function, AnalysisManager]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def analyses(func: Function) -> AnalysisManager:
-    """The (per-process, per-object) :class:`AnalysisManager` of ``func``."""
-    manager = _MANAGERS.get(func)
+    """The (per-process, per-object) :class:`AnalysisManager` of ``func``.
+
+    The manager hangs off the function itself, so the two die together:
+    the manager and its cached analyses (the CFG among them) point back
+    at the function, and a registry keyed on the function would keep
+    every function it ever saw alive through those back-references.
+    """
+    manager = getattr(func, "_analyses", None)
     if manager is None:
-        manager = _MANAGERS[func] = AnalysisManager(func)
+        manager = func._analyses = AnalysisManager(func)
     return manager

@@ -210,7 +210,6 @@ def service_chaos(routines, workdir: str, incident_dir: str) -> dict:
     config = DaemonConfig(
         socket_path=os.path.join(workdir, "chaos.sock"),
         workers=2,
-        batch_window=0.002,
         cache_dir=os.path.join(workdir, "cache"),
         incident_dir=incident_dir,
         request_timeout=60.0,

@@ -288,7 +288,6 @@ def main(
     config = DaemonConfig(
         socket_path=os.path.join(tmp, "daemon.sock"),
         workers=workers,
-        batch_window=0.002,
         cache_dir=os.path.join(tmp, "cache"),
         request_timeout=120.0,
         max_pending=4096,

@@ -48,7 +48,6 @@ import json
 import os
 import re
 import sys
-import threading
 from typing import Optional, Sequence
 
 from repro.interp import Interpreter, Memory
@@ -477,19 +476,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="compile worker processes (default: 2)",
     )
     serve_cmd.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=4.0,
-        metavar="MS",
-        help="batching window: max extra latency paid to fill a batch "
-        "(default: 4ms)",
-    )
-    serve_cmd.add_argument(
         "--max-batch",
         type=int,
         default=16,
         metavar="N",
-        help="max requests per worker batch (default: 16)",
+        help="max queued requests sent to a worker as one batch "
+        "(default: 16)",
     )
     serve_cmd.add_argument(
         "--max-pending",
@@ -1136,7 +1128,6 @@ def _cmd_serve(options) -> int:
     config = DaemonConfig(
         socket_path=options.socket or default_socket_path(),
         workers=options.workers,
-        batch_window=options.batch_window_ms / 1e3,
         max_batch=options.max_batch,
         max_pending=options.max_pending,
         request_timeout=options.timeout,
@@ -1290,15 +1281,14 @@ def _cmd_fleet(options) -> int:
     )
     import signal
 
-    stop = threading.Event()
-
     def _terminate(signum, frame):  # noqa: ARG001
-        stop.set()
+        handle.request_stop()
 
     previous_term = signal.signal(signal.SIGTERM, _terminate)
     previous_int = signal.signal(signal.SIGINT, _terminate)
     try:
-        stop.wait()
+        # returns on SIGTERM/Ctrl-C and on the ``shutdown`` op alike
+        handle.wait()
     finally:
         signal.signal(signal.SIGTERM, previous_term)
         signal.signal(signal.SIGINT, previous_int)

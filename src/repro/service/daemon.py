@@ -34,7 +34,6 @@ class DaemonConfig:
 
     socket_path: str = field(default_factory=protocol.default_socket_path)
     workers: int = 2
-    batch_window: float = 0.004
     max_batch: int = 16
     max_pending: int = 256
     request_timeout: float = 30.0
@@ -65,7 +64,6 @@ class CompileDaemon:
         self.scheduler = Scheduler(
             pool,
             self.metrics,
-            batch_window=self.config.batch_window,
             max_batch=self.config.max_batch,
             max_pending=self.config.max_pending,
             request_timeout=self.config.request_timeout,
@@ -75,6 +73,7 @@ class CompileDaemon:
         self._stop_event = threading.Event()
         self._accept_thread: Optional[threading.Thread] = None
         self._started = False
+        self._stop_lock = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -102,21 +101,29 @@ class CompileDaemon:
         self._stop_event.wait()
 
     def stop(self) -> None:
-        """Stop accepting, drain the scheduler, reap workers, unlink."""
+        """Stop accepting, drain the scheduler, reap workers, unlink.
+
+        Idempotent and safe from two threads at once: the ``shutdown``
+        op's thread and ``repro serve``'s own exit path both call it,
+        and the later caller waits for the first to finish.
+        """
         self._stop_event.set()
-        if self._listener is not None:
+        with self._stop_lock:
+            if self._listener is None and not self._started:
+                return
+            if self._listener is not None:
+                try:
+                    self._listener.close()
+                except OSError:
+                    pass
+                self._listener = None
+            if self._started:
+                self.scheduler.stop()
             try:
-                self._listener.close()
+                os.unlink(self.config.socket_path)
             except OSError:
                 pass
-            self._listener = None
-        if self._started:
-            self.scheduler.stop()
-        try:
-            os.unlink(self.config.socket_path)
-        except OSError:
-            pass
-        self._started = False
+            self._started = False
 
     @staticmethod
     def _claim_socket(path: str) -> None:

@@ -56,8 +56,6 @@ from repro.service.metrics import Metrics, merge_snapshots
 
 #: Gateway-specific counters layered onto the base Metrics schema.
 GATEWAY_COUNTERS = (
-    "store_hits",
-    "store_misses",
     "store_writes",
     "replies_store",
     "replies_shard",
@@ -514,14 +512,14 @@ class FleetGateway:
         kind, text = request["kind"], request["text"]
         level, verify = request["level"], request["verify"]
         key = protocol.request_key(kind, text, level, verify)
-        no_store = request.get("no_store", False)
+        storable = protocol.storable(request)
         tiered = (
             self.config.tiering
-            and not no_store
+            and storable
             and level != "none"
             and level != self.config.tier1_level
         )
-        if not no_store:
+        if storable:
             artifact = self.store.get(key, level)
             if artifact is not None:
                 self.metrics.inc("store_hits")
@@ -554,7 +552,7 @@ class FleetGateway:
             )
             if not reply.get("ok"):
                 return reply
-            if not reply.get("degraded"):
+            if protocol.storable(request, reply):
                 self._store_artifact(o1_key, reply, level=o1_level, tier=1)
             self.metrics.inc("replies_shard")
             self._ensure_upgrade(key, request)
@@ -564,10 +562,7 @@ class FleetGateway:
         reply = await self._foreground_compile(request, key)
         if not reply.get("ok"):
             return reply
-        # a degraded reply is honest about its achieved level but is
-        # NOT the artifact this key promises — storing it would serve a
-        # lower-level compile as a clean store hit forever after
-        if not no_store and not reply.get("degraded"):
+        if protocol.storable(request, reply):
             self._store_artifact(key, reply, level=level, tier=2)
         self.metrics.inc("replies_shard")
         return {**reply, "tier": 2, "level": reply.get("level", level),
@@ -605,6 +600,7 @@ class FleetGateway:
             "level": request["level"],
             "verify": request["verify"],
             "fault": request.get("fault"),
+            "no_store": request.get("no_store", False),
             "on_error": request.get("on_error", "degrade"),
         }
         loop = asyncio.get_running_loop()
@@ -709,7 +705,7 @@ class FleetGateway:
                     self.metrics.inc("upgrades_done")
                     return
                 reply = await self._compile_once(request, key)
-                if reply.get("ok") and not reply.get("degraded"):
+                if protocol.storable(request, reply):
                     self._store_artifact(
                         key, reply, level=request["level"], tier=2
                     )
@@ -815,13 +811,21 @@ class FleetHandle:
             raise RuntimeError("gateway did not start accepting")
         return self
 
-    def stop(self, timeout: float = 30.0) -> None:
+    def request_stop(self) -> None:
+        """Ask the gateway loop to shut down; returns at once."""
         loop = self._loop
         if loop is not None and not self._done.is_set():
             try:
                 loop.call_soon_threadsafe(self.gateway.request_stop)
             except RuntimeError:  # pragma: no cover — loop already gone
                 pass
+
+    def wait(self) -> None:
+        """Block until the gateway loop has ended (``shutdown`` op or stop)."""
+        self._done.wait()
+
+    def stop(self, timeout: float = 30.0) -> None:
+        self.request_stop()
         if self._thread is not None:
             self._thread.join(timeout=timeout)
         # belt and braces: if the loop never ran, reap shards directly

@@ -114,6 +114,8 @@ class Metrics:
         "requests_total",
         "replies_ok",
         "replies_error",
+        "store_hits",
+        "store_misses",
         "dedup_hits",
         "batches",
         "batched_jobs",

@@ -18,7 +18,9 @@ Request operations:
     "ir": "...", "attempts": 1, "deduped": false}`` or ``{"ok": false,
     "error": {"kind": ..., "message": ...}}`` with ``kind`` one of
     ``bad-request``, ``compile-error``, ``injected-error``,
-    ``worker-crash``, ``timeout``, ``overloaded``.
+    ``worker-crash``, ``timeout``, ``overloaded``.  A repeat the daemon
+    answers from its reply store (:func:`storable`) carries
+    ``"attempts": 0`` and ``"served_from": "store"``.
 
 ``stats``
     Reply carries the :class:`~repro.service.metrics.Metrics` snapshot
@@ -42,7 +44,8 @@ accounting identity, default ``"default"``) and ``priority``
 (``"interactive"`` or ``"batch"``); compile replies carry ``tier``
 (``1`` = fast first answer, ``2`` = the requested level) plus the
 ``level`` actually compiled and ``served_from`` (``"store"`` or
-``"shard"``).  ``tenant`` and ``priority`` are excluded from the
+``"shard"``; the gateway's value replaces the shard daemon's own).
+``tenant`` and ``priority`` are excluded from the
 request key for the same reason ``fault`` is: artifacts are
 content-addressed, and the same program compiled for two tenants is
 the same artifact.
@@ -172,8 +175,8 @@ def compile_request(
     """Build a normalized internal compile job (also the client payload).
 
     ``tenant``/``priority`` drive gateway quotas; ``no_store`` bypasses
-    the artifact store and tiering (a bench/test knob forcing the
-    request down the shard compile path); ``on_error`` picks the
+    the reply stores and tiering (a bench/test knob forcing the request
+    down to a worker); ``on_error`` picks the
     containment policy for optimization failures (``"degrade"`` walks
     the ladder, ``"rollback"`` skips broken passes, ``"raise"`` restores
     the legacy fail-hard behavior — see :mod:`repro.triage`).  All four
@@ -192,6 +195,22 @@ def compile_request(
         "no_store": no_store,
         "on_error": on_error,
     }
+
+
+def storable(request: dict, reply: Optional[dict] = None) -> bool:
+    """The store-first rule shared by the daemon and the fleet gateway.
+
+    A reply store may answer ``request`` unless it opts out
+    (``no_store``) or carries an injected ``fault`` — harness machinery
+    whose point is to reach a worker.  With ``reply``, says whether the
+    reply may be kept: only a clean ``ok`` one.  A degraded reply is
+    honest about its achieved level but is not the artifact the key
+    promises; storing it would serve a lower-level compile as a clean
+    hit forever after.
+    """
+    if request.get("no_store") or request.get("fault") is not None:
+        return False
+    return reply is None or (bool(reply.get("ok")) and not reply.get("degraded"))
 
 
 def validate_compile(message: dict) -> dict:

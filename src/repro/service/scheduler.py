@@ -1,27 +1,31 @@
-"""Request scheduling: dedup, batching windows, sharding, retries.
+"""Request scheduling: store-first replies, dedup, sharding, retries.
 
 The path of a compile request through the daemon:
 
-1. **submit** — the request is normalized, content-hashed
-   (:func:`repro.service.protocol.request_key`) and checked against the
-   in-flight table.  An identical request already pending or running
-   just attaches another :class:`JobFuture` to the existing job
-   (``dedup_hits``); the compile runs once and fans its reply out.
-   When the table is at ``max_pending``, the request is shed with
+1. **store** — the request is normalized and content-hashed
+   (:func:`repro.service.protocol.request_key`), then looked up in the
+   daemon's in-memory reply store.  A repeat of a request already
+   answered cleanly completes at once (``store_hits``): no worker, no
+   pipe, ``"served_from": "store"``.  Requests that carry a ``fault``
+   or ``no_store`` skip the store both ways
+   (:func:`~repro.service.protocol.storable`).
+2. **dedup** — a miss is checked against the in-flight table.  An
+   identical request already pending or running just attaches another
+   :class:`JobFuture` to the existing job (``dedup_hits``); the compile
+   runs once and fans its reply out.  When the table is at
+   ``max_pending``, the request is shed with
    :class:`~repro.service.faults.OverloadedError` instead of queueing.
-2. **batch** — accepted jobs buffer until the oldest has waited
-   ``batch_window`` seconds or ``max_batch`` jobs are pending, then the
-   window flushes.  Batching amortizes pipe round-trips; the window is
-   the latency price and is a few milliseconds by default.
-3. **shard** — each flushed job goes to worker ``hash(key) %
-   pool.size``.  Hash affinity means a repeated request always lands on
-   the worker whose in-memory cache already holds it.
-4. **dispatch** — one dispatcher thread per shard sends batches down
-   the pipe and collects per-job results.  Worker death (EOF) retries
-   the batch's unfinished jobs elsewhere in time (same shard, fresh
-   worker) under the :class:`~repro.service.faults.RetryPolicy`;
-   jobs past their deadline are answered ``timeout`` and the stuck
-   worker is killed.
+3. **shard** — each new job goes straight onto the queue of worker
+   ``hash(key) % pool.size``.  Hash affinity means a repeated request
+   always lands on the worker whose in-memory cache already holds it.
+4. **dispatch** — one dispatcher thread per shard takes a job, drains
+   whatever else is already queued (up to ``max_batch``) and sends that
+   batch down the pipe.  An idle worker therefore starts at once;
+   batches form only while a worker is busy and jobs queue behind it.
+   Worker death (EOF) retries the batch's unfinished jobs elsewhere in
+   time (same shard, fresh worker) under the
+   :class:`~repro.service.faults.RetryPolicy`; jobs past their deadline
+   are answered ``timeout`` and the stuck worker is killed.
 5. **quarantine** — a request that kills workers through its *whole*
    retry budget is a poison pill: instead of a terminal
    ``worker-crash``, the scheduler steps its level one rung down the
@@ -30,7 +34,8 @@ The path of a compile request through the daemon:
    the same request start at the surviving level.  Only when the
    bottom rung (``none``) still kills workers does the caller see
    ``worker-crash``.  The reply for a stepped-down request carries
-   ``degraded``/``level``/``requested_level`` (docs/ROBUSTNESS.md).
+   ``degraded``/``level``/``requested_level`` (docs/ROBUSTNESS.md) and
+   is never stored.
 
 Everything here is policy over :class:`~repro.service.workers.
 WorkerPool` mechanism; the module has no socket knowledge and is
@@ -45,6 +50,7 @@ import time
 from typing import Callable, Optional
 
 from repro.pipeline.levels import ladder_next
+from repro.pm.cache import ArtifactStore
 from repro.service import protocol
 from repro.service.faults import OverloadedError, RetryPolicy, validate_fault
 from repro.service.metrics import Metrics
@@ -116,14 +122,13 @@ class Job:
 
 
 class Scheduler:
-    """Dedup + batch + shard + retry policy over a worker pool."""
+    """Store + dedup + shard + retry policy over a worker pool."""
 
     def __init__(
         self,
         pool: WorkerPool,
         metrics: Optional[Metrics] = None,
         *,
-        batch_window: float = 0.004,
         max_batch: int = 16,
         max_pending: int = 256,
         request_timeout: float = 30.0,
@@ -131,11 +136,12 @@ class Scheduler:
     ) -> None:
         self.pool = pool
         self.metrics = metrics if metrics is not None else Metrics()
-        self.batch_window = batch_window
         self.max_batch = max(1, int(max_batch))
         self.max_pending = max(1, int(max_pending))
         self.request_timeout = request_timeout
         self.retry = retry if retry is not None else RetryPolicy()
+        #: whole replies by request key: memory only, LRU-bounded
+        self.store = ArtifactStore(None)
         self._jobs: dict[str, Job] = {}
         #: poison-pill quarantine: request key → the ladder level this
         #: key last had to step down to after killing workers through a
@@ -143,8 +149,8 @@ class Scheduler:
         #: the quarantined level instead of killing workers all over
         #: again (``quarantine_hits``).
         self._quarantine: dict[str, str] = {}
-        self._buffer: list[Job] = []
-        self._wake = threading.Condition()
+        self._lock = threading.Lock()
+        #: per-shard job queues; ``None`` wakes a dispatcher to exit
         self._queues: list[queue.Queue] = [queue.Queue() for _ in range(pool.size)]
         self._seq = 0
         self._stopped = False
@@ -155,33 +161,29 @@ class Scheduler:
     def start(self) -> None:
         self.pool.start()
         self._threads = [
-            threading.Thread(target=self._batch_loop, name="repro-batcher",
-                             daemon=True)
-        ]
-        for index in range(self.pool.size):
-            self._threads.append(
-                threading.Thread(
-                    target=self._dispatch_loop,
-                    args=(index,),
-                    name=f"repro-dispatch-{index}",
-                    daemon=True,
-                )
+            threading.Thread(
+                target=self._dispatch_loop,
+                args=(index,),
+                name=f"repro-dispatch-{index}",
+                daemon=True,
             )
+            for index in range(self.pool.size)
+        ]
         for thread in self._threads:
             thread.start()
 
     def stop(self) -> None:
-        with self._wake:
+        with self._lock:
             self._stopped = True
-            self._wake.notify_all()
+        for jobs in self._queues:
+            jobs.put(None)
         for thread in self._threads:
             thread.join(timeout=2.0)
         self.pool.stop()
         # anything still queued will never run; fail it cleanly
-        with self._wake:
+        with self._lock:
             orphans = list(self._jobs.values())
             self._jobs.clear()
-            self._buffer.clear()
         for job in orphans:
             self._fail(job, "worker-crash", "daemon shutting down", track=False)
 
@@ -203,90 +205,85 @@ class Scheduler:
         key = protocol.request_key(
             request["kind"], request["text"], request["level"], request["verify"]
         )
+        started = time.monotonic()
         future = JobFuture()
-        with self._wake:
+        with self._lock:
             if self._stopped:
                 raise OverloadedError("scheduler stopped")
             self.metrics.inc("requests_total")
-            job = self._jobs.get(key)
-            if job is not None and not job.done:
-                future.deduped = True
-                job.futures.append(future)
-                self.metrics.inc("dedup_hits")
+            artifact = None
+            if protocol.storable(request):
+                artifact = self.store.get(key, request["level"])
+                self.metrics.inc("store_misses" if artifact is None else "store_hits")
+            if artifact is None:
+                self._enqueue(key, request, future)
                 return future
-            if len(self._jobs) >= self.max_pending:
-                self.metrics.inc("overloaded")
-                raise OverloadedError(
-                    f"{len(self._jobs)} requests pending (max {self.max_pending})"
-                )
-            self._seq += 1
-            job = Job(
-                self._seq, key, request, time.monotonic() + self.request_timeout
-            )
-            quarantined = self._quarantine.get(key)
-            if quarantined is not None and request.get("on_error") != "raise":
-                # a known poison pill: start at the level it survived
-                # instead of feeding it workers at the lethal one
-                job.request["level"] = quarantined
-                self.metrics.inc("quarantine_hits")
-            job.shard = int(key[:8], 16) % self.pool.size
-            job.futures.append(future)
-            self._jobs[key] = job
-            self._buffer.append(job)
-            self._wake.notify_all()
+        self.metrics.latency.observe(time.monotonic() - started)
+        self.metrics.inc("replies_ok")
+        future.set_reply({"ok": True, "ir": artifact.text, "attempts": 0,
+                          "deduped": False, "served_from": "store"})
         return future
+
+    def _enqueue(self, key: str, request: dict, future: JobFuture) -> None:
+        """Attach ``future`` to the in-flight job for ``key`` or queue a new one.
+
+        Called with the lock held.
+        """
+        job = self._jobs.get(key)
+        if job is not None and not job.done:
+            future.deduped = True
+            job.futures.append(future)
+            self.metrics.inc("dedup_hits")
+            return
+        if len(self._jobs) >= self.max_pending:
+            self.metrics.inc("overloaded")
+            raise OverloadedError(
+                f"{len(self._jobs)} requests pending (max {self.max_pending})"
+            )
+        self._seq += 1
+        job = Job(self._seq, key, request, time.monotonic() + self.request_timeout)
+        quarantined = self._quarantine.get(key)
+        if quarantined is not None and request.get("on_error") != "raise":
+            # a known poison pill: start at the level it survived
+            # instead of feeding it workers at the lethal one
+            job.request["level"] = quarantined
+            self.metrics.inc("quarantine_hits")
+        job.shard = int(key[:8], 16) % self.pool.size
+        job.futures.append(future)
+        self._jobs[key] = job
+        self._queues[job.shard].put(job)
 
     def gauges(self) -> dict:
         """Point-in-time scheduler state for the ``stats`` reply."""
-        with self._wake:
+        with self._lock:
             inflight = len(self._jobs)
-            buffered = len(self._buffer)
             quarantined = len(self._quarantine)
         return {
             "inflight": inflight,
-            "buffered": buffered,
+            "queued": sum(jobs.qsize() for jobs in self._queues),
             "workers": self.pool.size,
             "workers_alive": self.pool.alive_count(),
             "worker_restarts": self.pool.restarts,
             "quarantined_keys": quarantined,
         }
 
-    # -- batching ----------------------------------------------------------------
-
-    def _batch_loop(self) -> None:
-        while True:
-            with self._wake:
-                while not self._stopped and not self._buffer:
-                    self._wake.wait(0.1)
-                if self._stopped:
-                    return
-                now = time.monotonic()
-                flush_at = self._buffer[0].enqueued + self.batch_window
-                if len(self._buffer) < self.max_batch and now < flush_at:
-                    self._wake.wait(flush_at - now)
-                    continue
-                batch = self._buffer[: self.max_batch]
-                del self._buffer[: self.max_batch]
-            self._flush(batch)
-
-    def _flush(self, batch: list[Job]) -> None:
-        shards: dict[int, list[Job]] = {}
-        for job in batch:
-            shards.setdefault(job.shard, []).append(job)
-        for shard, jobs in shards.items():
-            self.metrics.inc("batches")
-            self.metrics.inc("batched_jobs", len(jobs))
-            self._queues[shard].put(jobs)
-
     # -- dispatch ----------------------------------------------------------------
 
     def _dispatch_loop(self, index: int) -> None:
+        pending = self._queues[index]
         while not self._stopped:
-            try:
-                jobs = self._queues[index].get(timeout=0.1)
-            except queue.Empty:
-                continue
-            jobs = [job for job in jobs if not job.done]
+            # block for one job, then take whatever queued behind it:
+            # no timed window, so an idle worker starts at once
+            jobs = [pending.get()]
+            while len(jobs) < self.max_batch:
+                try:
+                    jobs.append(pending.get_nowait())
+                except queue.Empty:
+                    break
+            jobs = [job for job in jobs if job is not None and not job.done]
+            if jobs:
+                self.metrics.inc("batches")
+                self.metrics.inc("batched_jobs", len(jobs))
             while jobs and not self._stopped:
                 jobs = self._run_batch(index, jobs)
                 if jobs:
@@ -365,7 +362,7 @@ class Scheduler:
                     # there with a fresh attempt budget
                     job.request["level"] = step
                     job.attempt = 0
-                    with self._wake:
+                    with self._lock:
                         self._quarantine[job.key] = step
                     self.metrics.inc("quarantined")
                     retry.append(job)
@@ -385,13 +382,12 @@ class Scheduler:
     # -- completion --------------------------------------------------------------
 
     def _finish(self, job: Job) -> None:
-        with self._wake:
+        with self._lock:
             job.done = True
             if self._jobs.get(job.key) is job:
                 del self._jobs[job.key]
 
     def _fulfill(self, job: Job, reply: dict) -> None:
-        self._finish(job)
         latency = time.monotonic() - job.enqueued
         self.metrics.latency.observe(latency)
         self.metrics.inc("replies_ok" if reply.get("ok") else "replies_error")
@@ -409,6 +405,11 @@ class Scheduler:
             }
         if reply.get("degraded"):
             self.metrics.inc("degraded_replies")
+        # store before the job leaves the in-flight table, so a
+        # concurrent submit of the key finds one or the other
+        if protocol.storable(job.request, reply):
+            self.store.put(job.key, reply["ir"], level=job.requested)
+        self._finish(job)
         for future in job.futures:
             future.set_reply(
                 {**reply, "attempts": job.attempt + 1, "deduped": future.deduped}

@@ -249,7 +249,10 @@ class WorkerHandle:
                 self.process.kill()
                 self.process.join(timeout=2.0)
         finally:
-            self.conn.close()
+            try:
+                self.conn.close()
+            except OSError:
+                pass  # already closed by a concurrent teardown
 
 
 class WorkerPool:

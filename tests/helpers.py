@@ -1,15 +1,22 @@
-"""Shared test utilities: differential execution of IR before/after passes."""
+"""Shared test utilities: differential execution of IR before/after
+passes, and server subprocesses for shutdown tests."""
 
 from __future__ import annotations
 
 import copy
+import os
+import subprocess
+import sys
+import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import pytest
 
+import repro
 from repro.interp import Interpreter, Memory
 from repro.ir import Function, Module, parse_function, validate_function
+from repro.service.client import DaemonClient
 
 
 @dataclass
@@ -172,3 +179,37 @@ def assert_pass_preserves_behavior(
         )
         assert actual.arrays == expected.arrays, f"memory effects changed for {case}"
     return transformed
+
+
+# -- server subprocesses -------------------------------------------------------
+
+
+def start_server(command: Sequence[str], cwd, socket_name: str = "s.sock"):
+    """Run ``python -m repro <command>`` in ``cwd`` until it answers ``ping``.
+
+    Returns ``(process, socket path, stderr path)``; stderr goes to a
+    file so a chatty server can never block on a full pipe.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    stderr_path = os.path.join(str(cwd), "stderr.log")
+    with open(stderr_path, "w") as stderr:
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", *command, "--socket", socket_name],
+            cwd=str(cwd), env=env, stdout=subprocess.DEVNULL, stderr=stderr,
+        )
+    path = os.path.join(str(cwd), socket_name)
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        if process.poll() is not None:
+            with open(stderr_path) as handle:
+                raise AssertionError(f"{command} exited: {handle.read()}")
+        try:
+            with DaemonClient(path, timeout=5.0) as client:
+                if client.ping():
+                    return process, path, stderr_path
+        except OSError:
+            time.sleep(0.05)
+    process.kill()
+    process.wait()
+    raise AssertionError(f"{command} never answered ping")

@@ -135,3 +135,31 @@ def test_pre_context_cached_across_both_solvers():
         0, Instruction(Opcode.LOADI, target="r9", imm=7)
     )
     assert prepare_pre(func) is not ctx
+
+
+def test_compiled_functions_are_not_retained():
+    """Managers die with their functions: long-lived workers must not
+    keep every function they ever compiled."""
+    import gc
+    import weakref
+
+    from repro.analysis.manager import AnalysisManager
+    from repro.bench.suite import suite_routines
+    from repro.pipeline.driver import compile_payload
+
+    def live_managers():
+        return sum(isinstance(obj, AnalysisManager) for obj in gc.get_objects())
+
+    gc.collect()
+    before = live_managers()
+    module = compile_payload(
+        "source", suite_routines()[0].source, "distribution", "final"
+    )
+    func = next(iter(module.functions.values()))
+    analyses(func).dominators()  # at least this one has a manager
+    assert live_managers() > before
+    dead = weakref.ref(func)
+    del module, func
+    gc.collect()
+    assert dead() is None
+    assert live_managers() == before

@@ -33,6 +33,7 @@ from repro.service.fleet import (
     hashring,
 )
 from repro.service.metrics import Metrics, merge_snapshots
+from tests.helpers import start_server
 
 SOURCE = """
 routine triple(x: int) -> int
@@ -498,3 +499,23 @@ def test_fleet_failover_survives_shard_kill(fleet):
         assert reply["ir"] == direct("source", SOURCE, "none")
         counters = client.stats()["gateway"]["counters"]
     assert counters["shard_restarts"] >= 1
+
+
+def test_repro_fleet_serve_exits_after_shutdown_op(tmp_path):
+    process, path, stderr_path = start_server(
+        ["fleet", "serve", "--shards", "1", "--workers-per-shard", "1",
+         "--store-dir", "store", "--cache-dir", "cache", "--no-tiering"],
+        tmp_path,
+    )
+    try:
+        with DaemonClient(path, timeout=60.0) as client:
+            assert client.compile("source", SOURCE, "baseline")["ok"]
+            client.shutdown()
+        # no signal: the shutdown op alone must end the process
+        assert process.wait(timeout=10) == 0
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait()
+    with open(stderr_path) as handle:
+        assert "Traceback" not in handle.read()

@@ -10,6 +10,8 @@ tests, per the service hardening work.
 from __future__ import annotations
 
 import os
+import sys
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -33,6 +35,7 @@ from repro.service.faults import (
 from repro.service.metrics import LatencyHistogram, Metrics
 from repro.service.scheduler import Scheduler
 from repro.service.workers import WorkerConfig, WorkerPool
+from tests.helpers import start_server
 
 SOURCE = """
 routine triple(x: int) -> int
@@ -234,7 +237,6 @@ def scheduler():
     sched = Scheduler(
         pool,
         Metrics(),
-        batch_window=0.002,
         max_pending=8,
         request_timeout=5.0,
         retry=RetryPolicy(max_attempts=3, backoff=0.01),
@@ -260,6 +262,61 @@ def test_scheduler_dedups_inflight_identical_requests(scheduler):
     assert scheduler.metrics.counter("dedup_hits").value == 1
     # the compile ran once: one scheduled job, two replies
     assert scheduler.metrics.counter("replies_ok").value == 1
+
+
+def test_scheduler_batches_jobs_queued_behind_a_busy_worker(scheduler):
+    busy = scheduler.submit(
+        {"op": "compile", "source": SOURCE,
+         "fault": {"kind": "hang", "seconds": 0.3}}
+    )
+    time.sleep(0.1)  # the idle worker took the first job at once
+    queued = [
+        scheduler.submit({"op": "compile", "source": SOURCE, "level": level})
+        for level in ("baseline", "partial", "reassociation")
+    ]
+    for future in [busy, *queued]:
+        assert future.result(15)["ok"]
+    batches = scheduler.metrics.counter("batches").value
+    batched = scheduler.metrics.counter("batched_jobs").value
+    assert batched == 4
+    assert batched > batches
+
+
+def test_scheduler_compiles_each_key_once_under_contention(scheduler):
+    """Store lookup, dedup and completion race from many threads; a key
+    is always either in flight or stored, so nothing compiles twice."""
+    keys = [(text, level) for text in (SOURCE, SOURCE2)
+            for level in ("none", "baseline", "partial", "reassociation")]
+    expected = {key: direct("source", *key) for key in keys}
+    wrong: list = []
+
+    def hammer(offset):
+        for index in range(40):
+            text, level = keys[(offset + index) % len(keys)]
+            future = scheduler.submit(
+                {"op": "compile", "source": text, "level": level}
+            )
+            if future.result(30)["ir"] != expected[text, level]:
+                wrong.append((text, level))
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(n,)) for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    metrics = scheduler.metrics
+    assert metrics.counter("batched_jobs").value == len(keys)
+    assert metrics.counter("replies_ok").value == (
+        metrics.counter("requests_total").value
+        - metrics.counter("dedup_hits").value
+    )
 
 
 def test_scheduler_sheds_load_when_full():
@@ -341,7 +398,6 @@ def daemon(tmp_path):
     config = DaemonConfig(
         socket_path=str(tmp_path / "d.sock"),
         workers=2,
-        batch_window=0.002,
         cache_dir=str(tmp_path / "cache"),
         request_timeout=30.0,
         retry=RetryPolicy(max_attempts=3, backoff=0.01),
@@ -368,12 +424,15 @@ def test_daemon_replies_byte_identical_to_direct_compiles(daemon):
             reply = client.wait(rid)
             assert reply["ok"], reply
             assert reply["ir"] == direct(kind, text, level)
-        # warm in-worker caches: byte-identical replay on repeat
+        # a repeat is answered from the daemon's reply store, byte-identical
         repeat = client.compile(*corpus[0])
         assert repeat["ir"] == direct(*corpus[0])
+        assert repeat["served_from"] == "store"
+        assert repeat["attempts"] == 0
         stats = client.stats()
     assert stats["counters"]["replies_ok"] == len(corpus) + 1
-    assert stats["cache"]["hits"] >= 1
+    assert stats["counters"]["store_hits"] == 1
+    assert stats["counters"]["store_misses"] == len(corpus)
     assert stats["scheduler"]["workers"] == 2
 
 
@@ -388,6 +447,60 @@ def test_daemon_survives_injected_worker_crash(daemon):
     assert stats["counters"]["worker_crashes"] == 1
     assert stats["counters"]["retries"] == 1
     assert stats["counters"]["replies_error"] == 0
+
+
+def test_fault_requests_skip_the_store(daemon):
+    with DaemonClient(daemon.config.socket_path) as client:
+        clean = client.compile("source", SOURCE, "partial")
+        assert clean.get("served_from") is None
+        # a stored twin must not swallow the crash injection
+        crashed = client.compile(
+            "source", SOURCE, "partial", fault={"kind": "crash", "attempts": 1}
+        )
+        assert crashed["ir"] == clean["ir"] == direct("source", SOURCE, "partial")
+        assert crashed["attempts"] == 2
+        assert crashed.get("served_from") is None
+        stats = client.stats()
+    assert stats["counters"]["worker_crashes"] == 1
+    assert stats["counters"]["store_hits"] == 0
+
+
+def test_no_store_requests_reach_a_worker(daemon):
+    with DaemonClient(daemon.config.socket_path) as client:
+        for _ in range(2):
+            reply = client.compile("source", SOURCE, "partial", no_store=True)
+            assert reply["ir"] == direct("source", SOURCE, "partial")
+            assert reply["attempts"] == 1
+            assert reply.get("served_from") is None
+        stats = client.stats()
+    assert stats["counters"]["batched_jobs"] == 2
+    assert stats["counters"]["store_hits"] == 0
+    assert stats["counters"]["store_misses"] == 0
+
+
+def test_restarted_daemon_gets_pass_cache_disk_hits(tmp_path):
+    def run_once():
+        config = DaemonConfig(
+            socket_path=str(tmp_path / "r.sock"),
+            workers=1,
+            cache_dir=str(tmp_path / "cache"),
+        )
+        instance = CompileDaemon(config)
+        instance.start()
+        try:
+            with DaemonClient(config.socket_path) as client:
+                reply = client.compile("source", SOURCE2, "distribution")
+                assert reply["ir"] == direct("source", SOURCE2)
+                assert reply.get("served_from") is None
+                return client.stats()["cache"]
+        finally:
+            instance.stop()
+
+    cold = run_once()
+    assert cold["hits"] == 0 and cold["misses"] >= 1
+    # the reply store is memory only; the PassCache disk tier survives
+    warm = run_once()
+    assert warm["hits"] >= 1 and warm["misses"] == 0
 
 
 def test_daemon_structured_errors_and_ping(daemon):
@@ -425,6 +538,36 @@ def test_daemon_shutdown_request(tmp_path):
         time.sleep(0.02)
     assert not instance._started
     assert not os.path.exists(config.socket_path)
+
+
+def test_repro_serve_exits_cleanly_after_shutdown_op(tmp_path):
+    corpus = [
+        (routine.source, level)
+        for routine in suite_routines()[:5]
+        for level in ("baseline", "partial", "reassociation", "distribution")
+    ]
+    for round_ in range(5):
+        cwd = tmp_path / str(round_)
+        cwd.mkdir()
+        process, path, stderr_path = start_server(
+            ["serve", "--workers", "2", "--cache-dir", "cache",
+             "--no-incidents"], cwd,
+        )
+        try:
+            with DaemonClient(path, timeout=60.0) as client:
+                rids = [
+                    client.send(protocol.compile_request("source", text, level))
+                    for text, level in corpus
+                ]
+                assert all(client.wait(rid)["ok"] for rid in rids)
+                client.shutdown()
+            assert process.wait(timeout=30) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+        with open(stderr_path) as handle:
+            assert "Traceback" not in handle.read()
 
 
 def test_daemon_refuses_to_double_bind(daemon):

@@ -362,7 +362,6 @@ def daemon(tmp_path):
     config = DaemonConfig(
         socket_path=str(tmp_path / "d.sock"),
         workers=2,
-        batch_window=0.002,
         cache_dir=str(tmp_path / "cache"),
         incident_dir=str(tmp_path / "incidents"),
         request_timeout=60.0,
@@ -398,11 +397,17 @@ def test_scheduler_quarantines_poison_pill(daemon):
             "source", SOURCE, "distribution", "final", fault=dict(PILL)
         )
         assert again["ok"] and again.get("degraded")
+        # a degraded reply is never stored: a clean resubmit looks the
+        # key up, misses, and is served degraded from the quarantine map
+        clean = client.compile("source", SOURCE, "distribution", "final")
+        assert clean.get("degraded") and clean["level"] == achieved
+        assert "served_from" not in again and "served_from" not in clean
         stats = client.stats()
+        assert stats["counters"]["store_hits"] == 0
         assert stats["counters"]["worker_crashes"] == crashes_first
         assert stats["counters"]["quarantined"] >= 1
         assert stats["counters"]["quarantine_hits"] >= 1
-        assert stats["counters"]["degraded_replies"] >= 2
+        assert stats["counters"]["degraded_replies"] >= 3
         assert stats["scheduler"]["quarantined_keys"] >= 1
 
 
